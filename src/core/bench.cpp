@@ -186,8 +186,8 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
   sub.name = "bench";
   sub.summary = "run the benchmark suite, emit BENCH_results.json on stdout";
   sub.intro =
-      "runs every registered benchmark case group — the same cases\n"
-      "the bench/ binaries run — and prints the versioned BENCH_results.json\n"
+      "runs every registered benchmark case group (--filter '<group>/'\n"
+      "selects one) and prints the versioned BENCH_results.json\n"
       "schema, documented in docs/BENCHMARKS.md, on stdout; exit 0 iff every\n"
       "case was ok and deterministic, 1 on a failed case, 2 on a usage error";
   sub.flags = {
@@ -223,9 +223,8 @@ cli::Subcommand bench_subcommand(BenchCliState& state) {
   return sub;
 }
 
-int bench_main(int argc, char** argv, const BenchMainConfig& cfg) {
+int bench_main(int argc, char** argv) {
   BenchCliState state;
-  state.json_path = cfg.default_json;
   cli::Subcommand sub = bench_subcommand(state);
   sub.usage_line = std::string(argv[0]) + " [flags]";
   switch (cli::parse_flags(sub, argc, argv, 1, std::cerr)) {
@@ -258,14 +257,12 @@ int bench_main(int argc, char** argv, const BenchMainConfig& cfg) {
   if (json_path == "-") {
     std::cout << reporter.render(results);
   } else {
-    if (!json_path.empty()) {
-      std::ofstream f(json_path);
-      if (!f) {
-        std::cerr << "cannot write " << json_path << "\n";
-        return 2;
-      }
-      f << reporter.render(results);
+    std::ofstream f(json_path);
+    if (!f) {
+      std::cerr << "cannot write " << json_path << "\n";
+      return 2;
     }
+    f << reporter.render(results);
     // Human-readable summary (stdout stays parseable when --json -).
     for (const auto& r : results) {
       std::printf("%-44s  median %10.3f ms", r.name.c_str(), r.median_ms);

@@ -1,6 +1,6 @@
 // Unified benchmark harness — the repo's single measurement surface.
 //
-// Every bench/ binary and `bsm_cli bench` funnels through this subsystem:
+// `bsm_cli bench` (bench_main below) funnels through this subsystem:
 // a BenchCase names a deterministic workload (usually a run_cells() /
 // run_sweep() fan-out or a run_bsm() experiment), the harness times it
 // with a steady clock under a shared warmup/repeat policy, and the
@@ -71,7 +71,7 @@ struct BenchRun {
 /// One registered benchmark: a name ("group/case"), the cell factory that
 /// executes the workload, and the repeat/warmup policy.
 struct BenchCase {
-  std::string name;  ///< "group/case"; groups mirror the bench/ binaries
+  std::string name;  ///< "group/case"; one group per bench/cases register function
   std::function<BenchRun(const BenchContext&)> run;
   int repeats = 3;  ///< measured executions (overridden by --repeats)
   int warmup = 1;   ///< untimed executions before measurement
@@ -153,8 +153,8 @@ class JsonReporter {
 /// The option state bench_main's flag table binds to.
 struct BenchCliState {
   BenchOptions opts;
-  std::string json_path;  ///< --json target; "" = human summary, "-" = stdout
-  bool list = false;      ///< --list: print case names and exit
+  std::string json_path = "-";  ///< --json target: "-" = stdout, else a file + summary
+  bool list = false;            ///< --list: print case names and exit
 };
 
 /// The declarative bench flag table (see common/cli_options.hpp), bound to
@@ -162,14 +162,7 @@ struct BenchCliState {
 /// top-level help so the table is the single source of bench flags.
 [[nodiscard]] cli::Subcommand bench_subcommand(BenchCliState& state);
 
-/// Behaviour knobs for bench_main (the shared CLI entry point).
-struct BenchMainConfig {
-  /// Where JSON goes when --json is not given: empty = print a human
-  /// summary instead; "-" = JSON on stdout (what `bsm_cli bench` wants).
-  std::string default_json;
-};
-
-/// Shared main() for every bench binary and for `bsm_cli bench`:
+/// The main() of `bsm_cli bench`, the one bench entry point:
 ///   --threads N       worker threads for parallel cases (0 = hardware)
 ///   --repeats N       override every case's repeat count
 ///   --filter REGEX    run only cases whose name matches
@@ -178,6 +171,6 @@ struct BenchMainConfig {
 ///   --help            usage
 /// Exits 0 when every selected case was ok and deterministic, 1 on a
 /// failed case, 2 on a usage error (unknown flag, bad value, bad regex).
-int bench_main(int argc, char** argv, const BenchMainConfig& cfg = {});
+int bench_main(int argc, char** argv);
 
 }  // namespace bsm::core

@@ -69,7 +69,7 @@ RunOutcome collect_outcome(const AssembledRun& run) {
     }
   }
   out.terminated = all_decided;
-  // Snapshot liveness measure: the engine rounds consumed so far. run_bsm()
+  // Snapshot liveness measure: the engine rounds consumed so far. drive()
   // overwrites this with the exact first-all-decided watermark.
   out.rounds_to_termination = all_decided ? engine.engine_rounds() : 0;
   out.report = check_bsm(cfg.k, out.corrupt, run.inputs, out.decisions);
@@ -88,32 +88,25 @@ namespace {
 
 }  // namespace
 
-RunOutcome run_bsm(RunSpec spec) {
-  const Round max_rounds = spec.max_rounds;
-  AssembledRun run = assemble_run(std::move(spec));
+RunOutcome drive(AssembledRun& run, const DriveOptions& opts) {
+  const Round steps = opts.horizon != 0 ? opts.horizon : run.rounds;
   const net::DeliveryPolicy* policy = run.engine.delivery_policy();
   const Round budget = policy != nullptr ? policy->stall_budget() : 0;
-  const Round cap = max_rounds != 0
-                        ? max_rounds
-                        : (run.rounds > UINT32_MAX - budget ? UINT32_MAX : run.rounds + budget);
+  const Round cap = opts.max_rounds != 0
+                        ? opts.max_rounds
+                        : (steps > UINT32_MAX - budget ? UINT32_MAX : steps + budget);
 
-  // Step to the deadline one protocol round at a time under the engine-
-  // round guard, watching for the first boundary where every honest party
-  // has decided — the run's rounds_to_termination watermark.
   bool decided_seen = false;
   Round decided_at = 0;
   bool limit_hit = false;
-  for (Round done = 0; done < run.rounds;) {
+  for (Round step = 0; step < steps && !limit_hit; ++step) {
     const auto prog = run.engine.run_guarded(1, cap);
-    if (prog.limit_hit) {
-      limit_hit = true;
-      break;
-    }
-    done += prog.protocol_rounds;
+    limit_hit = prog.limit_hit;
     if (!decided_seen && all_honest_decided(run)) {
       decided_seen = true;
       decided_at = run.engine.engine_rounds();
     }
+    if (opts.on_step) opts.on_step(step, prog);
   }
 
   RunOutcome out = collect_outcome(run);
@@ -122,6 +115,40 @@ RunOutcome run_bsm(RunSpec spec) {
   // post-deadline slack; only an undecided cutoff is a liveness verdict.
   out.round_limit_hit = limit_hit && !out.terminated;
   return out;
+}
+
+RunOutcome run_bsm(RunSpec spec) {
+  const Round max_rounds = spec.max_rounds;
+  AssembledRun run = assemble_run(std::move(spec));
+  return drive(run, {0, max_rounds, nullptr});
+}
+
+std::optional<std::string> validate(const BsmConfig& cfg, bool need_solvable,
+                                    const sched::ScheduleTrace* trace, Round horizon) {
+  if (cfg.k == 0) return "invalid setting: k must be >= 1";
+  if (cfg.tl > cfg.k || cfg.tr > cfg.k) {
+    return "invalid setting: tL and tR must not exceed k=" + std::to_string(cfg.k);
+  }
+  if (need_solvable && !solvable(cfg)) {
+    return "unsolvable setting: " + solvability_reason(cfg) +
+           " (`bsm_cli bench --filter attack_lemma` runs the impossibility proofs)";
+  }
+  if (trace == nullptr) return std::nullopt;
+
+  if (horizon == 0) {
+    const auto proto = resolve_protocol(cfg);
+    horizon = (proto ? proto->total_rounds : 0) + RunSpec{}.extra_rounds;
+  }
+  for (const auto& op : trace->ops) {
+    const std::string where = "trace op " + sched::ScheduleTrace{{op}}.serialize() + ": ";
+    if (op.from >= cfg.n() || op.to >= cfg.n()) {
+      return where + "party out of range 0.." + std::to_string(cfg.n() - 1);
+    }
+    if (op.kind != sched::ScheduleOp::Kind::Stall && (op.round == 0 || op.round > horizon)) {
+      return where + "delivery round outside 1.." + std::to_string(horizon);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace bsm::core

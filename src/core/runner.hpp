@@ -1,17 +1,22 @@
 // One-call experiment driver: assemble an engine, install honest protocol
 // processes and adversarial strategies, run to the protocol's deadline, and
-// verify the bSM properties on the honest outputs.
+// verify the bSM properties on the honest outputs. drive() is the single
+// engine-stepping loop behind every entry point (run_bsm, the sweep layer,
+// the schedule explorer/fuzzer, and `bsm_cli --replay`), and validate() the
+// single input check the CLI runs before building anything.
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/factory.hpp"
 #include "core/problem.hpp"
 #include "core/properties.hpp"
 #include "net/engine.hpp"
+#include "sched/trace.hpp"
 
 namespace bsm::core {
 
@@ -85,9 +90,9 @@ struct RunOutcome {
 
 /// An experiment assembled but not yet run: the engine with honest
 /// processes, adversaries, and the delivery policy installed, plus the
-/// deadline run_bsm() would run to. The hook for harnesses that drive
-/// rounds themselves and inspect per-round state — the schedule explorer
-/// steps it round by round, reading view hashes between rounds.
+/// deadline run_bsm() would run to. drive() steps it; harnesses that
+/// inspect per-round state (the schedule explorer reads view hashes
+/// between rounds) do so through drive()'s per-step hook.
 struct AssembledRun {
   BsmConfig config;
   matching::PreferenceProfile inputs;
@@ -104,10 +109,42 @@ struct AssembledRun {
 /// Snapshot outcome + property verdicts at the engine's current round.
 [[nodiscard]] RunOutcome collect_outcome(const AssembledRun& run);
 
+/// How drive() steps an assembled run.
+struct DriveOptions {
+  /// Protocol rounds to step; 0 = the run's deadline (AssembledRun::rounds).
+  Round horizon = 0;
+  /// Engine-round guard (see RunSpec::max_rounds); 0 = the horizon plus the
+  /// installed policy's stall_budget().
+  Round max_rounds = 0;
+  /// Called after every step, the one the guard cuts off included, with
+  /// the step's 0-based index and what it did.
+  std::function<void(Round step, const net::Engine::RunProgress&)> on_step;
+};
+
+/// The one engine-stepping loop: run `run` one protocol round at a time
+/// under the engine-round guard, record the first round boundary at which
+/// every honest party has decided (RunOutcome::rounds_to_termination, in
+/// engine rounds, stalls included), and snapshot the outcome. A guard
+/// cutoff is a round_limit_hit verdict only while someone is undecided.
+[[nodiscard]] RunOutcome drive(AssembledRun& run, const DriveOptions& opts = {});
+
 /// Run the setting's own protocol (requires a solvable configuration unless
-/// `spec.forced_spec` is set) and check properties. Equivalent to
-/// assemble_run + engine.run(rounds) + collect_outcome.
+/// `spec.forced_spec` is set) and check properties: assemble_run, then
+/// drive() to the deadline under `spec.max_rounds`.
 [[nodiscard]] RunOutcome run_bsm(RunSpec spec);
+
+/// The input check every CLI entry point runs before assembling anything;
+/// nullopt = runnable, otherwise a one-line reason. `cfg` must have k >= 1
+/// and tL, tR <= k, and — with `need_solvable`, i.e. everywhere but a
+/// sweep grid, which maps the impossible region too — be solvable per the
+/// paper. Every op of `trace` must name parties < n, and every
+/// drop/delay/rank op a delivery round in 1..horizon (0 = the protocol
+/// deadline plus RunSpec's default slack): a message sent in round r
+/// delivers at r + 1 (net/delivery.hpp), so round 0 perturbs nothing.
+/// Stall ops may name round 0.
+[[nodiscard]] std::optional<std::string> validate(const BsmConfig& cfg, bool need_solvable = true,
+                                                  const sched::ScheduleTrace* trace = nullptr,
+                                                  Round horizon = 0);
 
 /// Convenience: build the honest process a party would run, for adversary
 /// strategies that wrap honest code (lying inputs, split-brain simulation).

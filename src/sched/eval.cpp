@@ -19,7 +19,6 @@ Eval eval_schedule(const core::ScenarioSpec& base,
   scenario.sched.trace = trace;
 
   core::AssembledRun run = core::assemble_run(core::to_run_spec(scenario, nullptr, resolved));
-  const Round rounds = horizon == 0 ? run.rounds : horizon;
 
   std::vector<Slot> menu;
   if (collect_menu) {
@@ -29,20 +28,11 @@ Eval eval_schedule(const core::ScenarioSpec& base,
     });
   }
 
-  // Scripted stalls make one protocol round cost several engine rounds;
-  // the stall budget is finite by construction, so rounds + budget is an
-  // exact cap (hit only on saturated hand-written traces, never by
-  // search-generated ones).
-  const auto* policy = run.engine.delivery_policy();
-  const Round budget = policy != nullptr ? policy->stall_budget() : 0;
-  const Round cap = rounds > UINT32_MAX - budget ? UINT32_MAX : rounds + budget;
-
   Eval eval;
   eval.trail = 0x5eed0f0ddULL;
-  if (collect_prefixes) eval.prefixes.reserve(rounds);
-  for (Round r = 0; r < rounds; ++r) {
-    const auto prog = run.engine.run_guarded(1, cap);
-    std::uint64_t state = splitmix64(r);
+  if (collect_prefixes) eval.prefixes.reserve(horizon == 0 ? run.rounds : horizon);
+  const auto fold = [&](Round step, const net::Engine::RunProgress& prog) {
+    std::uint64_t state = splitmix64(step);
     if (prog.engine_rounds > prog.protocol_rounds) {
       // Stalled rounds are schedule-visible: fold the stall count so a
       // stalled prefix never collides with the synchronous one. Traces
@@ -54,12 +44,16 @@ Eval eval_schedule(const core::ScenarioSpec& base,
     }
     eval.trail = hash_combine(eval.trail, state);
     if (collect_prefixes) eval.prefixes.push_back(eval.trail);
-    if (prog.limit_hit) break;
-  }
-
-  const core::RunOutcome outcome = core::collect_outcome(run);
+  };
+  // Scripted stalls make one protocol round cost several engine rounds;
+  // drive()'s default guard (horizon + stall budget) is exact, hit only by
+  // saturated hand-written traces, never by search-generated ones.
+  const core::RunOutcome outcome = core::drive(run, {horizon, base.max_rounds, fold});
   eval.violated = outcome.report.all() ? 0 : 1;
   eval.views = outcome.view_hashes;
+  eval.terminated = outcome.terminated;
+  eval.rounds_to_termination = outcome.rounds_to_termination;
+  eval.round_limit_hit = outcome.round_limit_hit;
 
   std::sort(menu.begin(), menu.end());
   menu.erase(std::unique(menu.begin(), menu.end()), menu.end());

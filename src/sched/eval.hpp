@@ -3,7 +3,7 @@
 //
 // One eval = one full simulation of a ScenarioSpec under one
 // ScheduleTrace: install the trace as a ScriptedPolicy, step the engine
-// round by round, fold every party's view_hash into a per-round state
+// through core::drive(), fold every party's view_hash into a per-round state
 // digest, and chain those digests into a trail. Two schedules with equal
 // trails are indistinguishable to every party at every round — the
 // explorer prunes on the final trail fold, the fuzzer treats each
@@ -47,14 +47,19 @@ struct Eval {
   int violated = 0;
   std::vector<Slot> menu;  ///< observed delivery groups, sorted unique
   std::vector<std::uint64_t> views;
+  /// The run's liveness triple, as core::drive() reports it.
+  bool terminated = false;
+  Round rounds_to_termination = 0;
+  bool round_limit_hit = false;
   /// The trail value after each simulated round (the coverage points the
   /// fuzzer feeds on); empty unless requested.
   std::vector<std::uint64_t> prefixes;
 };
 
 /// Run `base` under `trace` for `horizon` rounds (0 = the protocol
-/// deadline), recording the trail, optionally the delivery-group menu
-/// and the per-round trail prefixes. Pure per call: every run owns its
+/// deadline) through core::drive(), guarded by `base.max_rounds`,
+/// recording the trail, optionally the delivery-group menu and the
+/// per-round trail prefixes. Pure per call: every run owns its
 /// engine, so eval_schedule is safe to fan out over run_cells().
 [[nodiscard]] Eval eval_schedule(const core::ScenarioSpec& base,
                                  const std::optional<core::ProtocolSpec>& resolved,

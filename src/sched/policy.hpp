@@ -115,7 +115,7 @@ class TargetedOmissionPolicy final : public net::DeliveryPolicy {
 /// envelope of that channel group at that delivery round; everything else
 /// delivers natively. Stall ops are keyed by protocol round alone: a
 /// `stall@r:0>0*c` op stalls the engine for c engine rounds before
-/// protocol round r begins (run the engine via run_guarded to honor
+/// protocol round r begins (run the engine via core::drive() to honor
 /// them). Serialize the trace, parse it back, replay — the transcript is
 /// bit-for-bit the same (the explorer's counterexample reproduction
 /// contract).
@@ -155,7 +155,7 @@ class ScriptedPolicy final : public net::DeliveryPolicy {
 /// just before GST may still land up to max_delay rounds after it, the
 /// standard partial-synchrony carry-over.
 ///
-/// Drive the engine via run_guarded(): Engine::run() never consults the
+/// Step the engine via core::drive(): Engine::run() never consults the
 /// stall hook.
 class EventualSynchronyPolicy final : public net::DeliveryPolicy {
  public:

@@ -4,7 +4,11 @@
 //   an unknown flag on any subcommand path exits 2 and names the flag;
 //   `explore` emits schema-shaped JSON and exits 0 on a satisfied search;
 //   `fuzz` emits schema-shaped JSON, exits 1 on a violation, and its
-//   counterexample replays through `fuzz --replay`.
+//   counterexample replays through `fuzz --replay`;
+//   bad input exits 2 with a message on stderr, never with a signal;
+//   every entry point that runs one scenario under one trace — run_bsm,
+//   eval_schedule, `run --trace`, `explore --replay`, `fuzz --replay` —
+//   reports the same liveness triple and views.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,9 +16,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
+
+#include "core/scenario.hpp"
+#include "sched/eval.hpp"
 
 namespace {
 
+using namespace bsm;
 namespace fs = std::filesystem;
 
 [[nodiscard]] std::string read_file(const std::string& path) {
@@ -27,8 +36,9 @@ struct CliResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-[[nodiscard]] CliResult run_cli(const std::string& args) {
-  const std::string cmd = std::string(BSM_CLI_PATH) + " " + args + " 2>&1";
+/// `redirect` picks the captured streams; the default interleaves both.
+[[nodiscard]] CliResult run_cli(const std::string& args, const char* redirect = " 2>&1") {
+  const std::string cmd = std::string(BSM_CLI_PATH) + " " + args + redirect;
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   CliResult result;
@@ -96,6 +106,122 @@ TEST(CliContract, BadValuesExitTwo) {
     const auto result = run_cli(args);
     EXPECT_EQ(result.exit_code, 2) << args;
   }
+}
+
+TEST(CliContract, BadInputExitsTwoWithAMessage) {
+  // Each of these once died on an uncaught requirement (SIGABRT) or ran as
+  // a silent no-op; core::validate() (or a flag-table bound) now turns
+  // every one into exit 2 plus a line on stderr.
+  for (const char* args :
+       {"run --k 0", "run --k 2 --tl 5", "sweep --k 0", "sweep --k 2 --tl 3",
+        "explore --k 2 --tl 3", "fuzz --k 0", "run --k 2 --trace \"drop@1:0>7\"",
+        "explore --k 2 --replay \"drop@0:9>9\"", "fuzz --k 2 --replay \"drop@0:9>9\"",
+        "explore --k 2 --replay \"delay@99:0>1*1\"", "explore --k 2 --max-rounds 5",
+        "fuzz --k 2 --max-rounds 5"}) {
+    const auto result = run_cli(args, " 2>&1 >/dev/null");  // stderr only
+    EXPECT_EQ(result.exit_code, 2) << args << "\n" << result.output;
+    EXPECT_FALSE(result.output.empty()) << args << " must explain itself on stderr";
+  }
+}
+
+/// The liveness triple and final views one entry point reports.
+struct Verdict {
+  bool terminated = false;
+  std::uint64_t rounds_to_termination = 0;
+  bool round_limit_hit = false;
+  std::vector<std::uint64_t> views;  ///< empty for `run`, which prints none
+
+  bool operator==(const Verdict&) const = default;
+};
+
+/// The token after `key` in `text`, up to the next separator.
+[[nodiscard]] std::string field(const std::string& text, const std::string& key) {
+  const auto at = text.find(key);
+  if (at == std::string::npos) return "";
+  const auto from = at + key.size();
+  return text.substr(from, text.find_first_of(", }\n", from) - from);
+}
+
+[[nodiscard]] Verdict replay_verdict(const std::string& json) {
+  Verdict v;
+  v.terminated = field(json, "\"terminated\": ") == "true";
+  v.rounds_to_termination = std::stoull("0" + field(json, "\"rounds_to_termination\": "));
+  v.round_limit_hit = field(json, "\"round_limit_hit\": ") == "true";
+  const auto open = json.find("\"views\": [");
+  if (open == std::string::npos) return v;
+  std::size_t pos = open + std::string("\"views\": [").size();
+  while (pos < json.size() && json[pos] != ']') {
+    std::size_t used = 0;
+    v.views.push_back(std::stoull(json.substr(pos), &used));
+    pos += used;
+    if (json[pos] == ',') pos += 2;
+  }
+  return v;
+}
+
+[[nodiscard]] Verdict run_verdict(const std::string& text) {
+  Verdict v;
+  v.terminated = field(text, "terminated=") == "1";
+  v.rounds_to_termination = std::stoull("0" + field(text, "rounds_to_termination="));
+  v.round_limit_hit = field(text, "round_limit_hit=") == "1";
+  return v;
+}
+
+TEST(CliContract, EveryEntryPointReportsTheSameLiveness) {
+  // One scenario (k=2, no corruption, seed 1 — what `run` and the search
+  // subcommands both build from their defaults) under three traces: a
+  // dropped honest channel, a scripted stall, and a never-deliver wall.
+  struct Case {
+    const char* trace;
+    Round max_rounds;
+  };
+  for (const Case& c : {Case{"drop@1:1>0", 0}, Case{"stall@1:0>0*3", 0},
+                        Case{"stall@0:0>0*100000", 20}}) {
+    const auto trace = sched::ScheduleTrace::parse(c.trace);
+    ASSERT_TRUE(trace.has_value()) << c.trace;
+    core::ScenarioSpec scenario;
+    scenario.config = core::BsmConfig{net::TopologyKind::FullyConnected, true, 2, 0, 0};
+    scenario.input_seed = 1;
+    scenario.pki_seed = 2;
+    scenario.max_rounds = c.max_rounds;
+
+    core::ScenarioSpec scripted = scenario;
+    scripted.sched.kind = sched::PolicyDesc::Kind::Scripted;
+    scripted.sched.trace = *trace;
+    const auto out = core::run_bsm(core::to_run_spec(scripted));
+    const Verdict reference{out.terminated, out.rounds_to_termination, out.round_limit_hit,
+                            out.view_hashes};
+
+    const auto eval = sched::detail::eval_schedule(
+        scenario, core::resolve_protocol(scenario.config), *trace, 0, false);
+    EXPECT_EQ((Verdict{eval.terminated, eval.rounds_to_termination, eval.round_limit_hit,
+                       eval.views}),
+              reference)
+        << c.trace << ": eval_schedule disagrees with run_bsm";
+
+    const std::string flags =
+        "--k 2 --tl 0 --tr 0 --max-rounds " + std::to_string(c.max_rounds) + " ";
+    const std::string quoted = std::string("\"") + c.trace + "\"";
+    for (const char* sub : {"explore", "fuzz"}) {
+      const auto replay = run_cli(std::string(sub) + " " + flags + "--replay " + quoted);
+      EXPECT_EQ(replay_verdict(replay.output), reference)
+          << c.trace << ": " << sub << " --replay disagrees with run_bsm\n" << replay.output;
+    }
+    const auto run = run_cli("run " + flags + "--trace " + quoted);
+    Verdict triple = reference;
+    triple.views.clear();
+    EXPECT_EQ(run_verdict(run.output), triple)
+        << c.trace << ": run --trace disagrees with run_bsm\n" << run.output;
+
+    if (c.max_rounds != 0) {
+      EXPECT_TRUE(reference.round_limit_hit) << c.trace;
+    } else {
+      EXPECT_TRUE(reference.terminated) << c.trace;
+    }
+  }
+  // The dropped honest channel: every path agrees on the watermark, 2.
+  const auto drop = run_cli("explore --k 2 --tl 0 --tr 0 --replay \"drop@1:1>0\"");
+  EXPECT_EQ(replay_verdict(drop.output).rounds_to_termination, 2U) << drop.output;
 }
 
 TEST(CliContract, RunTraceAndGstAreMutuallyExclusive) {

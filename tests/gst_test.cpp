@@ -40,8 +40,8 @@ using sched::ScheduleTrace;
   return scenario;
 }
 
-/// Drive a scenario to its deadline through the guarded loop (uncapped:
-/// every policy here has a bounded stall budget) and snapshot the outcome.
+/// Drive a scenario to its deadline through core::drive() (every policy
+/// here has a bounded stall budget, so the default guard never fires).
 /// Unlike run_bsm() this keeps the engine alive long enough to read the
 /// installed policy, so callers can also harvest recorded() traces.
 [[nodiscard]] core::RunOutcome run_to_deadline(const ScenarioSpec& scenario,
@@ -49,9 +49,9 @@ using sched::ScheduleTrace;
   auto run = core::assemble_run(core::to_run_spec(scenario));
   const auto* policy =
       dynamic_cast<const sched::EventualSynchronyPolicy*>(run.engine.delivery_policy());
-  (void)run.engine.run_guarded(run.rounds, 0);
+  auto out = core::drive(run);
   if (recorded != nullptr && policy != nullptr) *recorded = policy->recorded();
-  return core::collect_outcome(run);
+  return out;
 }
 
 [[nodiscard]] core::RunOutcome run_scripted(ScenarioSpec scenario, const ScheduleTrace& trace) {

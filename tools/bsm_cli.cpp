@@ -137,14 +137,15 @@ void add_scenario_flags(cli::Subcommand& sub, core::BsmConfig& cfg, std::uint64_
       cli::flag("--auth", "PKI available (default)", [&cfg] { cfg.authenticated = true; }));
   sub.flags.push_back(
       cli::flag("--no-auth", "no PKI", [&cfg] { cfg.authenticated = false; }));
-  sub.flags.push_back(bounded_flag("--k", "N", "parties per side (default: 2)", 0, 1'000'000,
-                                   [&cfg](std::uint64_t n) { cfg.k = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag("--tl", "N", "corruption budget within L (default: 1)", 0,
-                                   1'000'000,
-                                   [&cfg](std::uint64_t n) { cfg.tl = static_cast<std::uint32_t>(n); }));
-  sub.flags.push_back(bounded_flag("--tr", "N", "corruption budget within R (default: 0)", 0,
-                                   1'000'000,
-                                   [&cfg](std::uint64_t n) { cfg.tr = static_cast<std::uint32_t>(n); }));
+  sub.flags.push_back(
+      bounded_flag("--k", "N", "parties per side (default: 2)", 1, 1'000'000,
+                   [&cfg](std::uint64_t n) { cfg.k = static_cast<std::uint32_t>(n); }));
+  sub.flags.push_back(
+      bounded_flag("--tl", "N", "corruption budget within L (default: 1)", 0, 1'000'000,
+                   [&cfg](std::uint64_t n) { cfg.tl = static_cast<std::uint32_t>(n); }));
+  sub.flags.push_back(
+      bounded_flag("--tr", "N", "corruption budget within R (default: 0)", 0, 1'000'000,
+                   [&cfg](std::uint64_t n) { cfg.tr = static_cast<std::uint32_t>(n); }));
   sub.flags.push_back(bounded_flag("--seed", "S", "workload seed (default: 1)", 0, 1'000'000,
                                    [&seed](std::uint64_t n) { seed = n; }));
   sub.flags.push_back(cli::value_flag(
@@ -354,12 +355,14 @@ struct SweepCli {
                         return std::nullopt;
                       }),
   };
-  const auto u32_list = [](const std::string& v,
-                           std::vector<std::uint32_t>& out) -> std::optional<std::string> {
+  const auto u32_list = [](const std::string& v, std::vector<std::uint32_t>& out,
+                           std::uint64_t lo = 0) -> std::optional<std::string> {
     std::vector<std::uint32_t> values;
     for (const auto& item : split_csv(v)) {
       const auto parsed = parse_u64(item);
-      if (!parsed || *parsed > 64) return "expected comma list of 0..64";
+      if (!parsed || *parsed < lo || *parsed > 64) {
+        return "expected comma list of " + std::to_string(lo) + "..64";
+      }
       values.push_back(static_cast<std::uint32_t>(*parsed));
     }
     out = std::move(values);
@@ -367,7 +370,7 @@ struct SweepCli {
   };
   sub.flags.push_back(cli::value_flag(
       "--k", "LIST", "comma list of market sizes (default: 3)",
-      [&o, u32_list](const std::string& v) { return u32_list(v, o.grid.ks); }));
+      [&o, u32_list](const std::string& v) { return u32_list(v, o.grid.ks, 1); }));
   sub.flags.push_back(cli::value_flag(
       "--tl", "LIST", "comma list of L budgets (default: 0..k)",
       [&o, u32_list](const std::string& v) { return u32_list(v, o.grid.tls); }));
@@ -503,6 +506,12 @@ int run_sweep_command(int argc, char** argv) {
   o.grid.scheds = o.sched_gst ? core::gst_axis(o.sched_base, o.gsts, o.sched_seeds)
                               : core::schedule_axis(o.sched_base, o.sched_seeds);
   const auto cells = o.grid.cells();
+  for (const auto& cell : cells) {
+    if (auto error = core::validate(cell.config, /*need_solvable=*/false)) {
+      std::cerr << "sweep: " << *error << "\n";
+      return 2;
+    }
+  }
 
   ObsSession obs_session;
   {
@@ -677,36 +686,69 @@ int run_merge_command(int argc, char** argv) {
   return out + "]";
 }
 
-/// Shared by `explore --replay` and `fuzz --replay`: run one serialized
-/// trace under the scenario and print the replay JSON document. The
-/// output depends only on (scenario, horizon, trace), so a
-/// counterexample replays bit-for-bit from either subcommand.
-int run_replay(core::ScenarioSpec scenario, Round horizon, Round max_rounds,
-               const std::string& serialized) {
-  const auto trace = sched::ScheduleTrace::parse(serialized);
-  if (!trace) {
-    std::cerr << "bad --replay trace: " << serialized << "\n";
+/// What explore and fuzz share besides their search options: one fixed
+/// scenario cell, the --replay escape hatch with its engine-round guard,
+/// and the obs flags.
+struct SearchCli {
+  core::ScenarioSpec scenario;
+  std::uint64_t seed = 1;
+  core::Battery battery = core::Battery::Silent;
+  Round max_rounds = 0;
+  std::optional<sched::ScheduleTrace> replay;
+  ObsCli obs;
+};
+
+/// The --max-rounds/--replay rows shared by explore and fuzz.
+void add_replay_flags(cli::Subcommand& sub, SearchCli& o) {
+  sub.flags.push_back(bounded_flag(
+      "--max-rounds", "N",
+      "--replay engine-round guard, 0 = horizon + stall budget (default: 0)", 0, 1'000'000,
+      [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
+  sub.flags.push_back(cli::value_flag(
+      "--replay", "TRACE",
+      "skip the search: replay one serialized schedule\n"
+      "                        trace and report its outcome",
+      [&o](const std::string& v) -> std::optional<std::string> {
+        o.replay = sched::ScheduleTrace::parse(v);
+        if (!o.replay) return "expected a serialized schedule trace";
+        return std::nullopt;
+      }));
+}
+
+/// The input checks and scenario set-up explore and fuzz share. Returns
+/// the exit code to stop with, or nullopt to go on.
+[[nodiscard]] std::optional<int> prepare_search(const char* name, SearchCli& o, Round horizon) {
+  if (o.max_rounds != 0 && !o.replay) {
+    std::cerr << name << ": --max-rounds guards --replay only (try --help)\n";
     return 2;
   }
+  if (auto error = core::validate(o.scenario.config, /*need_solvable=*/true,
+                                  o.replay ? &*o.replay : nullptr, horizon)) {
+    std::cerr << name << ": " << *error << "\n";
+    return 2;
+  }
+  o.scenario.input_seed = o.seed;
+  o.scenario.pki_seed = o.seed + 1;
+  core::apply_battery(o.scenario, o.battery, o.seed);
+  return std::nullopt;
+}
+
+/// Shared by `explore --replay` and `fuzz --replay`: run one trace under
+/// the scenario through core::drive() and print the replay JSON document.
+/// The output depends only on (scenario, horizon, max_rounds, trace), so a
+/// counterexample replays bit-for-bit from either subcommand. The horizon
+/// is honored exactly as the search honors it (0 = the protocol
+/// deadline), so a counterexample found under a truncated horizon
+/// reproduces; the engine-round guard turns a trace that stalls the
+/// engine forever (or past --max-rounds) into a round_limit_hit verdict.
+int run_replay(core::ScenarioSpec scenario, Round horizon, Round max_rounds,
+               const sched::ScheduleTrace& trace) {
   scenario.sched.kind = sched::PolicyDesc::Kind::Scripted;
-  scenario.sched.trace = *trace;
-  // Honor --horizon exactly like the search does (horizon 0 = the
-  // protocol deadline), so a counterexample found under a truncated
-  // horizon reproduces on replay. Stepping goes through the engine-round
-  // guard: a trace that stalls the engine forever (or past --max-rounds)
-  // degrades to a round_limit_hit verdict instead of hanging the replay.
+  scenario.sched.trace = trace;
   auto run = core::assemble_run(core::to_run_spec(scenario));
-  const Round rounds = horizon == 0 ? run.rounds : horizon;
-  const auto* policy = run.engine.delivery_policy();
-  const Round budget = policy != nullptr ? policy->stall_budget() : 0;
-  const Round cap = max_rounds != 0
-                        ? max_rounds
-                        : (rounds > UINT32_MAX - budget ? UINT32_MAX : rounds + budget);
-  const auto prog = run.engine.run_guarded(rounds, cap);
-  core::RunOutcome out = core::collect_outcome(run);
-  out.round_limit_hit = prog.limit_hit && !out.terminated;
-  std::cout << "{\n  \"replay\": {\"trace\": \"" << json_escape(trace->serialize())
-            << "\", \"ops\": " << trace->ops.size() << ", \"rounds\": " << out.rounds
+  const core::RunOutcome out = core::drive(run, {horizon, max_rounds, nullptr});
+  std::cout << "{\n  \"replay\": {\"trace\": \"" << json_escape(trace.serialize())
+            << "\", \"ops\": " << trace.ops.size() << ", \"rounds\": " << out.rounds
             << ", \"messages\": " << out.traffic.messages
             << ", \"delivered\": " << out.traffic.delivered_messages
             << ", \"dropped\": " << out.traffic.dropped_messages
@@ -729,14 +771,8 @@ int run_replay(core::ScenarioSpec scenario, Round horizon, Round max_rounds,
   return out.str();
 }
 
-struct ExploreCli {
-  core::ScenarioSpec scenario;
-  std::uint64_t seed = 1;
-  core::Battery battery = core::Battery::Silent;
+struct ExploreCli : SearchCli {
   sched::ExplorerOptions opts;
-  Round max_rounds = 0;
-  std::optional<std::string> replay;
-  ObsCli obs;
 };
 
 [[nodiscard]] cli::Subcommand explore_subcommand(ExploreCli& o) {
@@ -771,20 +807,9 @@ struct ExploreCli {
       "--max-schedules", "N", "cap on exploration runs (default: 4096)", 0, 1'000'000,
       [&o](std::uint64_t n) { o.opts.max_schedules = static_cast<std::uint32_t>(n); }));
   sub.flags.push_back(bounded_flag(
-      "--max-rounds", "N",
-      "replay engine-round guard, 0 = horizon + stall budget (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
-  sub.flags.push_back(bounded_flag(
       "--threads", "N", "per-wave fan-out, 0 = hardware (default: 0)", 0, 1'000'000,
       [&o](std::uint64_t n) { o.opts.threads = static_cast<unsigned>(n); }));
-  sub.flags.push_back(cli::value_flag(
-      "--replay", "TRACE",
-      "skip the search: replay one serialized schedule\n"
-      "                        trace and report its outcome",
-      [&o](const std::string& v) -> std::optional<std::string> {
-        o.replay = v;
-        return std::nullopt;
-      }));
+  add_replay_flags(sub, o);
   add_obs_flags(sub, o.obs, /*with_metrics=*/true, /*with_progress=*/false);
   return sub;
 }
@@ -803,13 +828,7 @@ int run_explore_command(int argc, char** argv) {
       break;
   }
 
-  if (!core::solvable(o.scenario.config)) {
-    std::cerr << "unsolvable setting: " << core::solvability_reason(o.scenario.config) << "\n";
-    return 2;
-  }
-  o.scenario.input_seed = o.seed;
-  o.scenario.pki_seed = o.seed + 1;
-  core::apply_battery(o.scenario, o.battery, o.seed);
+  if (const auto exit_code = prepare_search("explore", o, o.opts.horizon)) return *exit_code;
 
   ObsSession obs_session;
   if (!obs_session.begin(o.obs, 0, obs::Counter::Evals, "execs")) {
@@ -861,14 +880,8 @@ int run_explore_command(int argc, char** argv) {
 
 // -------------------------------------------------------------- fuzz mode
 
-struct FuzzCli {
-  core::ScenarioSpec scenario;
-  std::uint64_t seed = 1;
-  core::Battery battery = core::Battery::Silent;
+struct FuzzCli : SearchCli {
   sched::FuzzerOptions opts;
-  Round max_rounds = 0;
-  std::optional<std::string> replay;
-  ObsCli obs;
 };
 
 [[nodiscard]] cli::Subcommand fuzz_subcommand(FuzzCli& o) {
@@ -921,20 +934,9 @@ struct FuzzCli {
         return std::nullopt;
       }));
   sub.flags.push_back(bounded_flag(
-      "--max-rounds", "N",
-      "replay engine-round guard, 0 = horizon + stall budget (default: 0)", 0, 1'000'000,
-      [&o](std::uint64_t n) { o.max_rounds = static_cast<Round>(n); }));
-  sub.flags.push_back(bounded_flag(
       "--threads", "N", "per-wave fan-out, 0 = hardware (default: 0)", 0, 1'000'000,
       [&o](std::uint64_t n) { o.opts.threads = static_cast<unsigned>(n); }));
-  sub.flags.push_back(cli::value_flag(
-      "--replay", "TRACE",
-      "skip the fuzzing: replay one serialized schedule\n"
-      "                        trace and report its outcome",
-      [&o](const std::string& v) -> std::optional<std::string> {
-        o.replay = v;
-        return std::nullopt;
-      }));
+  add_replay_flags(sub, o);
   add_obs_flags(sub, o.obs, /*with_metrics=*/true, /*with_progress=*/true);
   return sub;
 }
@@ -954,13 +956,7 @@ int run_fuzz_command(int argc, char** argv) {
       break;
   }
 
-  if (!core::solvable(o.scenario.config)) {
-    std::cerr << "unsolvable setting: " << core::solvability_reason(o.scenario.config) << "\n";
-    return 2;
-  }
-  o.scenario.input_seed = o.seed;
-  o.scenario.pki_seed = o.seed + 1;
-  core::apply_battery(o.scenario, o.battery, o.seed);
+  if (const auto exit_code = prepare_search("fuzz", o, o.opts.horizon)) return *exit_code;
 
   ObsSession obs_session;
   if (!obs_session.begin(o.obs, o.replay.has_value() ? 0 : o.opts.max_execs, obs::Counter::Evals,
@@ -1027,8 +1023,8 @@ struct RunCli {
   std::uint64_t seed = 1;
   std::vector<std::string> adversaries;
   bool verbose = false;
-  std::optional<std::string> trace;  ///< --trace: scripted delivery schedule
-  std::optional<Round> gst;          ///< --gst: eventual-synchrony schedule
+  std::optional<sched::ScheduleTrace> trace;  ///< --trace: scripted delivery schedule
+  std::optional<Round> gst;                   ///< --gst: eventual-synchrony schedule
   std::uint64_t gst_seed = 1;
   Round max_rounds = 0;
   ObsCli obs;
@@ -1052,7 +1048,7 @@ struct RunCli {
                       }),
       cli::flag("--auth", "PKI available (default)", [&o] { o.cfg.authenticated = true; }),
       cli::flag("--no-auth", "no PKI", [&o] { o.cfg.authenticated = false; }),
-      bounded_flag("--k", "N", "parties per side (default: 4)", 0, 1'000'000,
+      bounded_flag("--k", "N", "parties per side (default: 4)", 1, 1'000'000,
                    [&o](std::uint64_t n) { o.cfg.k = static_cast<std::uint32_t>(n); }),
       bounded_flag("--tl", "N", "corruption budget within L (default: 1)", 0, 1'000'000,
                    [&o](std::uint64_t n) { o.cfg.tl = static_cast<std::uint32_t>(n); }),
@@ -1074,8 +1070,8 @@ struct RunCli {
                       "run under a scripted delivery schedule (serialized\n"
                       "                        ScheduleTrace; stall@R:0>0*N ops stall the engine)",
                       [&o](const std::string& v) -> std::optional<std::string> {
-                        if (v.empty()) return "expected a serialized schedule trace";
-                        o.trace = v;
+                        o.trace = sched::ScheduleTrace::parse(v);
+                        if (v.empty() || !o.trace) return "expected a serialized schedule trace";
                         return std::nullopt;
                       }),
       bounded_flag("--gst", "N",
@@ -1133,6 +1129,11 @@ int run_run_command(int argc, char** argv, int first) {
     std::cerr << "run: --trace and --gst are mutually exclusive (try --help)\n";
     return 2;
   }
+  if (auto error =
+          core::validate(opt.cfg, /*need_solvable=*/true, opt.trace ? &*opt.trace : nullptr)) {
+    std::cerr << "run: " << *error << "\n";
+    return 2;
+  }
   ObsSession obs_session;
   if (!obs_session.begin(opt.obs, 0, obs::Counter::CellsDone, "cells")) {
     std::cerr << "run: " << obs_session.error() << "\n";
@@ -1141,11 +1142,6 @@ int run_run_command(int argc, char** argv, int first) {
 
   std::cout << "Setting:   " << opt.cfg.describe() << "\n";
   std::cout << "Verdict:   " << core::solvability_reason(opt.cfg) << "\n";
-  if (!core::solvable(opt.cfg)) {
-    std::cout << "This setting is IMPOSSIBLE per the paper; nothing to run.\n"
-              << "(See bench_attack_lemma5/7/13 for executable impossibility proofs.)\n";
-    return 2;
-  }
 
   core::RunSpec spec;
   spec.config = opt.cfg;
@@ -1172,12 +1168,7 @@ int run_run_command(int argc, char** argv, int first) {
 
   spec.max_rounds = opt.max_rounds;
   if (opt.trace.has_value()) {
-    const auto trace = sched::ScheduleTrace::parse(*opt.trace);
-    if (!trace) {
-      std::cerr << "bad --trace: " << *opt.trace << "\n";
-      return 2;
-    }
-    spec.policy = std::make_unique<sched::ScriptedPolicy>(*trace);
+    spec.policy = std::make_unique<sched::ScriptedPolicy>(*opt.trace);
   } else if (opt.gst.has_value()) {
     // Corrupt-adjacent fault envelope, matching the sweep layer's default
     // scope: delays/reorders only touch channels with a corrupted endpoint
@@ -1271,9 +1262,8 @@ int main(int argc, char** argv) {
     if (sub == "explore") return run_explore_command(argc, argv);
     if (sub == "fuzz") return run_fuzz_command(argc, argv);
     if (sub == "bench") {
-      // The registered suite = every case group the bench/ binaries run.
       benchcases::register_all();
-      return core::bench_main(argc - 1, argv + 1, {.default_json = "-"});
+      return core::bench_main(argc - 1, argv + 1);
     }
     if (sub == "run") first = 2;  // explicit alias for the default mode
   }

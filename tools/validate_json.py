@@ -10,11 +10,10 @@ Since schema v2 every report leads with the shared envelope
 (schema_version, subcommand, git_sha, and — where the document is not
 contractually byte-identical across thread counts — threads), so one
 validator can dispatch on `subcommand` instead of one script per schema
-guessing from shape. The old entry points (validate_bench_json.py,
-validate_sched_json.py, validate_explore_json.py) forward here.
+guessing from shape. `--schema NAME` pins one schema.
 
 Schemas (documented field-by-field in docs/BENCHMARKS.md):
-  bench    BENCH_results.json from `bsm_cli bench` / the bench/ binaries
+  bench    BENCH_results.json from `bsm_cli bench`
   sweep    `bsm_cli sweep`: the inline JSON document, the --out summary
            report, or a JSONL shard document (the three are auto-told-apart)
   explore  `bsm_cli explore` report
